@@ -3,9 +3,12 @@ package daemon
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/netip"
 	"os"
+	"strconv"
 
+	"repro/internal/atomicio"
 	"repro/internal/measure"
 )
 
@@ -117,11 +120,83 @@ func (d *Daemon) checkpointLocked() *Checkpoint {
 	return ck
 }
 
-// Save writes the checkpoint atomically (temp file + rename on the shared
-// measure.AtomicWriteJSON path), so a kill mid-write leaves the previous
-// checkpoint intact.
+// Save writes the checkpoint atomically (temp file + fsync + rename through
+// atomicio.Write), so a kill mid-write leaves the previous checkpoint
+// intact. The file is streamed, not marshaled: the small fields and the
+// Dests table are encoded here, the accumulator by measure's checkpoint
+// encoder, and the bytes are exactly json.Marshal's.
 func (ck *Checkpoint) Save(path string) error {
-	return measure.AtomicWriteJSON(path, ck)
+	return atomicio.Write(path, ck.encode)
+}
+
+// encode streams the checkpoint's JSON encoding to w.
+func (ck *Checkpoint) encode(w io.Writer) error {
+	b := make([]byte, 0, 64<<10)
+	b = appendInt(b, `{"Version":`, int64(ck.Version))
+	b = append(b, `,"Digest":`...)
+	b = strconv.AppendUint(b, ck.Digest, 10)
+	b = appendInt(b, `,"Round":`, ck.Round)
+	b = appendInt(b, `,"Shed":`, ck.Shed)
+	b = appendInt(b, `,"Restarts":`, ck.Restarts)
+	b = appendInt(b, `,"Stalls":`, ck.Stalls)
+	b = appendInt(b, `,"Panics":`, ck.Panics)
+	b = appendInt(b, `,"EventSeq":`, ck.EventSeq)
+	b = append(b, `,"Acc":`...)
+	b, err := measure.WriteAccState(w, b, &ck.Acc)
+	if err != nil {
+		return err
+	}
+	b = append(b, `,"Dests":`...)
+	b = measure.AppendList(b, ck.Dests, appendDestState)
+	if len(ck.Transport) > 0 {
+		b = append(b, `,"Transport":`...)
+		if b, err = measure.AppendRawJSON(b, ck.Transport); err != nil {
+			return err
+		}
+	}
+	_, err = w.Write(append(b, '}'))
+	return err
+}
+
+// appendDestState encodes one scheduler entry the way json.Marshal does:
+// NextDue always, every omitempty field only when non-zero.
+func appendDestState(b []byte, st DestState) []byte {
+	b = appendInt(b, `{"NextDue":`, st.NextDue)
+	if st.Seen {
+		b = append(b, `,"Seen":true`...)
+	}
+	if st.ParisFP != 0 {
+		b = append(b, `,"ParisFP":`...)
+		b = strconv.AppendUint(b, st.ParisFP, 10)
+	}
+	if st.ClassicFP != 0 {
+		b = append(b, `,"ClassicFP":`...)
+		b = strconv.AppendUint(b, st.ClassicFP, 10)
+	}
+	if st.ConsecFails != 0 {
+		b = appendInt(b, `,"ConsecFails":`, int64(st.ConsecFails))
+	}
+	if st.Quarantined {
+		b = append(b, `,"Quarantined":true`...)
+	}
+	if st.HintParis != 0 {
+		b = appendInt(b, `,"HintParis":`, int64(st.HintParis))
+	}
+	if st.HintClassic != 0 {
+		b = appendInt(b, `,"HintClassic":`, int64(st.HintClassic))
+	}
+	if st.Pairs != 0 {
+		b = appendInt(b, `,"Pairs":`, st.Pairs)
+	}
+	if st.ShedStreak != 0 {
+		b = appendInt(b, `,"ShedStreak":`, int64(st.ShedStreak))
+	}
+	return append(b, '}')
+}
+
+// appendInt appends a field name and its integer value.
+func appendInt(b []byte, name string, v int64) []byte {
+	return strconv.AppendInt(append(b, name...), v, 10)
 }
 
 // LoadCheckpoint reads and decodes a daemon checkpoint. A missing file is

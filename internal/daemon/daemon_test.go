@@ -27,7 +27,7 @@ func noSleep(time.Duration) {}
 
 // freeTopo generates a schedule-free topology: statistics depend only on
 // (seed, round, destination), never on worker interleaving.
-func freeTopo(t *testing.T, dests int, seed int64, churn float64) *topo.Scenario {
+func freeTopo(t testing.TB, dests int, seed int64, churn float64) *topo.Scenario {
 	t.Helper()
 	gc := topo.DefaultGenConfig()
 	gc.Seed = seed
@@ -56,7 +56,7 @@ func testConfig(sc *topo.Scenario) Config {
 	}
 }
 
-func mustNew(t *testing.T, cfg Config) *Daemon {
+func mustNew(t testing.TB, cfg Config) *Daemon {
 	t.Helper()
 	d, err := New(cfg)
 	if err != nil {

@@ -115,6 +115,41 @@ func counterOnly(c soakCounters) soakCounters {
 	return c
 }
 
+// soakConfig is the soak's daemon configuration with its netsim probe
+// counter carried in the checkpoint's transport payload, so a daemon
+// recovered from path resumes the simulated network where it stopped.
+func soakConfig(t *testing.T, path string) Config {
+	t.Helper()
+	sc := freeTopo(t, 30, 77, 0.5)
+	cfg := testConfig(sc)
+	cfg.Transport = netsim.WrapFaults(sc.Transport(), netsim.FaultPlan{
+		Seed:       55,
+		PanicEvery: 4, PanicStart: 2, PanicLen: 1,
+		TransientEvery: 3, TransientStart: 1, TransientLen: 25,
+		DropEvery: 5, DropStart: 4, DropLen: 10,
+	})
+	cfg.Period = 2
+	cfg.Workers = 4
+	cfg.QueueCap = 8
+	cfg.MaxWorkerRestarts = 64
+	cfg.QuarantineAfter = 3
+	cfg.CheckpointPath = path
+	net := sc.Nets[0]
+	cfg.TransportState = func() json.RawMessage {
+		b, _ := json.Marshal(struct{ Count int }{net.ProbeCount()})
+		return b
+	}
+	cfg.RestoreTransport = func(raw json.RawMessage) error {
+		var st struct{ Count int }
+		if err := json.Unmarshal(raw, &st); err != nil {
+			return err
+		}
+		net.SetProbeCount(st.Count)
+		return nil
+	}
+	return cfg
+}
+
 func TestDaemonSoakKillRestart(t *testing.T) {
 	// The soak's kill-and-restart half: run 30 rounds, vanish without
 	// Stop, recover from the per-round checkpoint, run 30 more; the result
@@ -123,38 +158,7 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 	// all restored.
 	ckPath := filepath.Join(t.TempDir(), "soak.ck.json")
 
-	build := func(path string) Config {
-		sc := freeTopo(t, 30, 77, 0.5)
-		cfg := testConfig(sc)
-		cfg.Transport = netsim.WrapFaults(sc.Transport(), netsim.FaultPlan{
-			Seed:       55,
-			PanicEvery: 4, PanicStart: 2, PanicLen: 1,
-			TransientEvery: 3, TransientStart: 1, TransientLen: 25,
-			DropEvery: 5, DropStart: 4, DropLen: 10,
-		})
-		cfg.Period = 2
-		cfg.Workers = 4
-		cfg.QueueCap = 8
-		cfg.MaxWorkerRestarts = 64
-		cfg.QuarantineAfter = 3
-		cfg.CheckpointPath = path
-		net := sc.Nets[0]
-		cfg.TransportState = func() json.RawMessage {
-			b, _ := json.Marshal(struct{ Count int }{net.ProbeCount()})
-			return b
-		}
-		cfg.RestoreTransport = func(raw json.RawMessage) error {
-			var st struct{ Count int }
-			if err := json.Unmarshal(raw, &st); err != nil {
-				return err
-			}
-			net.SetProbeCount(st.Count)
-			return nil
-		}
-		return cfg
-	}
-
-	a := mustNew(t, build(ckPath))
+	a := mustNew(t, soakConfig(t, ckPath))
 	tick(a, 30)
 	// Killed: no Stop, no drain — the checkpoint is everything.
 
@@ -173,7 +177,7 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 		t.Fatal("soak quarantined nothing before the kill; the restart check is vacuous")
 	}
 
-	b := mustNew(t, build(ckPath))
+	b := mustNew(t, soakConfig(t, ckPath))
 	defer b.Stop()
 	if ok, at := b.Recovered(); !ok || at != 30 {
 		t.Fatalf("recovered=%v at=%d, want true at 30", ok, at)
@@ -193,14 +197,14 @@ func TestDaemonSoakKillRestart(t *testing.T) {
 	// The injected-fault ordinals are per-process, not checkpointed: a
 	// restarted daemon replays each destination's fault windows from
 	// ordinal zero. The uninterrupted reference must therefore also
-	// restart its fault transport at round 30 — which build() gives us for
+	// restart its fault transport at round 30 — which soakConfig(t, ) gives us for
 	// free by splitting the reference into the same two 30-round lives on
 	// one shared checkpoint... so instead pin the restarted run against
 	// ITSELF: a second kill-restart pair must reproduce the first exactly.
 	ck2 := filepath.Join(t.TempDir(), "soak2.ck.json")
-	a2 := mustNew(t, build(ck2))
+	a2 := mustNew(t, soakConfig(t, ck2))
 	tick(a2, 30)
-	b2 := mustNew(t, build(ck2))
+	b2 := mustNew(t, soakConfig(t, ck2))
 	defer b2.Stop()
 	tick(b2, 30)
 	resumed2, _ := json.Marshal(b2.Snapshot())

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/anomaly"
@@ -318,27 +317,12 @@ func (a *Accumulator) State() AccState { return snapshotAcc(a) }
 // code (the same path Campaign.Resume uses).
 func RestoreAccumulator(st AccState) (*Accumulator, error) { return restoreAcc(st) }
 
-// AtomicWriteJSON writes v as JSON to path via a temp file in the same
-// directory, fsynced and renamed into place, so a kill mid-write leaves
-// the previous file intact (the atomicio.WriteFile contract; the pcap
-// capture sink flushes on the same path).
-func AtomicWriteJSON(path string, v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("measure: encoding %s: %w", filepath.Base(path), err)
-	}
-	if err := atomicio.WriteFile(path, data); err != nil {
-		return fmt.Errorf("measure: %s: %w", filepath.Base(path), err)
-	}
-	return nil
-}
-
-// Save writes the checkpoint atomically on the shared AtomicWriteJSON
-// path: temp file + fsync + rename, stale temp files swept, so a kill
-// mid-write leaves the previous checkpoint intact and no .tmp debris
-// accumulates.
+// Save writes the checkpoint atomically, streaming it through the
+// checkpoint encoder into atomicio.Write: temp file + fsync + rename, stale
+// temp files swept, so a kill mid-write leaves the previous checkpoint
+// intact and no .tmp debris accumulates. The bytes are json.Marshal's.
 func (ck *Checkpoint) Save(path string) error {
-	return AtomicWriteJSON(path, ck)
+	return atomicio.Write(path, ck.encode)
 }
 
 // LoadCheckpoint reads a checkpoint written by Save.

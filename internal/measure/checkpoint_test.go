@@ -395,7 +395,7 @@ func tmpDebris(t *testing.T, path string) []string {
 }
 
 // TestAtomicWriteCleansTempOnError is the regression test for the temp-file
-// leak: every error path of AtomicWriteJSON must remove its temp file. The
+// leak: every error path of Checkpoint.Save must remove its temp file. The
 // rename is forced to fail by making the target path a directory.
 func TestAtomicWriteCleansTempOnError(t *testing.T) {
 	dir := t.TempDir()
@@ -403,19 +403,27 @@ func TestAtomicWriteCleansTempOnError(t *testing.T) {
 	if err := os.Mkdir(target, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := AtomicWriteJSON(target, map[string]int{"round": 3}); err == nil {
+	if err := (&Checkpoint{Version: CheckpointVersion, NextRound: 3}).Save(target); err == nil {
 		t.Fatal("rename onto a directory should fail")
 	}
 	if stale := tmpDebris(t, target); len(stale) != 0 {
 		t.Fatalf("failed write leaked temp files: %v", stale)
 	}
-	// The unencodable-value path fails before a temp file even exists.
+	// The unencodable-value path fails mid-stream, after the temp file
+	// exists: an invalid transport payload, which json.Marshal refuses too.
 	target2 := filepath.Join(dir, "ck2.json")
-	if err := AtomicWriteJSON(target2, func() {}); err == nil {
+	bad := &Checkpoint{Version: CheckpointVersion, Transport: json.RawMessage(`{"ProbeCount":`)}
+	if _, err := json.Marshal(bad); err == nil {
+		t.Fatal("reference encoder accepted an invalid transport payload")
+	}
+	if err := bad.Save(target2); err == nil {
 		t.Fatal("unencodable value should fail")
 	}
 	if stale := tmpDebris(t, target2); len(stale) != 0 {
 		t.Fatalf("encode failure leaked temp files: %v", stale)
+	}
+	if _, err := os.Stat(target2); !os.IsNotExist(err) {
+		t.Fatalf("encode failure installed a file: %v", err)
 	}
 }
 
@@ -434,7 +442,7 @@ func TestAtomicWriteSweepsStaleTemps(t *testing.T) {
 	if err := os.WriteFile(bystander, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := AtomicWriteJSON(target, map[string]int{"round": 7}); err != nil {
+	if err := (&Checkpoint{Version: CheckpointVersion, NextRound: 7}).Save(target); err != nil {
 		t.Fatal(err)
 	}
 	if stale := tmpDebris(t, target); len(stale) != 0 {
@@ -443,12 +451,8 @@ func TestAtomicWriteSweepsStaleTemps(t *testing.T) {
 	if _, err := os.Stat(bystander); err != nil {
 		t.Fatalf("sweep must only touch its own base's temps: %v", err)
 	}
-	var got map[string]int
-	data, err := os.ReadFile(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(data, &got); err != nil || got["round"] != 7 {
-		t.Fatalf("written content wrong: %v %v", got, err)
+	got, err := LoadCheckpoint(target)
+	if err != nil || got.NextRound != 7 {
+		t.Fatalf("written content wrong: %+v %v", got, err)
 	}
 }

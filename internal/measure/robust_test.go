@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,7 +25,12 @@ func faultyCampaign(t *testing.T, dests, rounds int, plan netsim.FaultPlan, cfg 
 	cfg.Rounds = rounds
 	cfg.RoundStart = sc.RoundStart
 	cfg.PortSeed = 42
-	cfg.Sleep = func(d time.Duration) { *sleeps = append(*sleeps, d) }
+	var mu sync.Mutex // workers back off concurrently
+	cfg.Sleep = func(d time.Duration) {
+		mu.Lock()
+		*sleeps = append(*sleeps, d)
+		mu.Unlock()
+	}
 	camp, err := NewCampaign(ft, cfg)
 	if err != nil {
 		t.Fatal(err)
